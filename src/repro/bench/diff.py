@@ -17,7 +17,10 @@ What is gated vs. informational:
   scheduling).  A *new* op appearing above the floor also gates: a hot
   path silently picking up, say, ``modexp`` calls is exactly what the
   gate exists to catch.  Missing tests or missing bench files gate too —
-  coverage disappearing is a regression of the gate itself.
+  coverage disappearing is a regression of the gate itself.  A tally
+  that *drops* by as much (the same relative threshold and absolute
+  floor) is flagged ``IMPROVED``: the exit status stays 0, but the
+  committed baseline is now loose and should be re-recorded downward.
 * **timing percentiles** (``timing``) are machine- and load-dependent,
   so they print in the delta table but only gate under ``--gate-timing``
   (meant for a quiet dedicated box, not shared CI runners).
@@ -99,11 +102,12 @@ class Delta:
     """One compared metric: where it came from and whether it gates."""
 
     __slots__ = ("bench", "test", "metric", "baseline", "current",
-                 "change", "gated", "regressed", "note")
+                 "change", "gated", "regressed", "improved", "note")
 
     def __init__(self, bench: str, test: str, metric: str,
                  baseline: float | None, current: float | None,
-                 *, gated: bool, regressed: bool, note: str = "") -> None:
+                 *, gated: bool, regressed: bool, improved: bool = False,
+                 note: str = "") -> None:
         self.bench = bench
         self.test = test
         self.metric = metric
@@ -115,6 +119,7 @@ class Delta:
             self.change = None
         self.gated = gated
         self.regressed = regressed
+        self.improved = improved
         self.note = note
 
     def to_dict(self) -> dict:
@@ -122,11 +127,12 @@ class Delta:
                 "metric": self.metric, "baseline": self.baseline,
                 "current": self.current, "change": self.change,
                 "gated": self.gated, "regressed": self.regressed,
-                "note": self.note}
+                "improved": self.improved, "note": self.note}
 
 
-def _ops_regressed(base: int, cur: int, threshold: float,
-                   min_count: int) -> bool:
+def _ops_moved(base: int, cur: int, threshold: float,
+               min_count: int) -> bool:
+    """Whether a tally moved from *base* to *cur* past both gate limits."""
     growth = cur - base
     return growth > min_count and growth > base * threshold
 
@@ -139,14 +145,16 @@ def _diff_ops(bench: str, test: str, base_ops: dict, cur_ops: dict,
         cur = int(cur_ops.get(op, 0))
         if base == cur:
             continue
-        regressed = _ops_regressed(base, cur, threshold, min_count)
+        regressed = _ops_moved(base, cur, threshold, min_count)
+        improved = _ops_moved(cur, base, threshold, min_count)
         note = ""
         if op not in base_ops:
             note = "new op"
         elif op not in cur_ops:
             note = "op gone"
         deltas.append(Delta(bench, test, f"ops.{op}", base, cur,
-                            gated=True, regressed=regressed, note=note))
+                            gated=True, regressed=regressed,
+                            improved=improved, note=note))
     return deltas
 
 
@@ -236,13 +244,19 @@ def _fmt(value: float | None) -> str:
 
 
 def format_deltas(deltas: list[Delta]) -> str:
-    """The per-metric delta table, regressions flagged in the last column."""
+    """The per-metric delta table; the last column flags each gated
+    tally that regressed or improved past the gate."""
     if not deltas:
         return "bench-diff: no differences against the baselines"
     rows = []
     for d in deltas:
         change = "-" if d.change is None else f"{d.change:+.1%}"
-        flag = "REGRESSED" if d.regressed else ("" if d.gated else "info")
+        if d.regressed:
+            flag = "REGRESSED"
+        elif d.improved:
+            flag = "IMPROVED"
+        else:
+            flag = "" if d.gated else "info"
         rows.append((d.bench, d.test, d.metric, _fmt(d.baseline),
                      _fmt(d.current), change, d.note or "", flag))
     return format_table(
@@ -352,8 +366,12 @@ def main(argv: list[str] | None = None) -> int:
               f"vs current [{_describe_meta(current)}]")
     table = format_deltas(deltas)
     regressions = [d for d in deltas if d.regressed]
+    improvements = sum(d.improved for d in deltas)
     verdict = (f"{len(regressions)} gated regression(s)" if regressions
                else "no gated regressions")
+    if improvements:
+        verdict += (f"; {improvements} gated improvement(s), re-record "
+                    f"the baselines to lock them in")
     report = f"{header}\n{table}\n{verdict}"
     print(report)
     if args.output:
@@ -362,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"deltas": [d.to_dict() for d in deltas],
-                       "regressions": len(regressions)},
+                       "regressions": len(regressions),
+                       "improvements": improvements},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 1 if regressions else 0

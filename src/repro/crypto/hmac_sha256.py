@@ -22,9 +22,11 @@ _OPAD = bytes(0x5C for _ in range(_BLOCK_SIZE))
 class HMACSHA256:
     """Incremental HMAC-SHA256 object.
 
-    The key schedule (inner/outer padded keys) is computed once at
-    construction; ``copy`` allows cheap reuse of a keyed instance across many
-    messages, which the PRF layer exploits.
+    Both padded keys are absorbed once, at construction, so the inner and
+    outer hash states start as midstates: ``digest`` copies the outer one
+    instead of compressing the outer key again, and ``copy`` allows cheap
+    reuse of a keyed instance across many messages, which the PRF layer
+    exploits.
     """
 
     digest_size = 32
@@ -36,7 +38,7 @@ class HMACSHA256:
         if len(key) > _BLOCK_SIZE:
             key = sha256(key)
         key = key.ljust(_BLOCK_SIZE, b"\x00")
-        self._outer_key = bytes(k ^ p for k, p in zip(key, _OPAD))
+        self._outer = SHA256(bytes(k ^ p for k, p in zip(key, _OPAD)))
         self._inner = SHA256(bytes(k ^ p for k, p in zip(key, _IPAD)))
         if data:
             self.update(data)
@@ -48,7 +50,7 @@ class HMACSHA256:
     def digest(self) -> bytes:
         """Return the 32-byte MAC of everything absorbed so far."""
         _record_op("hmac")
-        outer = SHA256(self._outer_key)
+        outer = self._outer.copy()
         outer.update(self._inner.digest())
         return outer.digest()
 
@@ -59,7 +61,7 @@ class HMACSHA256:
     def copy(self) -> "HMACSHA256":
         """Return an independent copy sharing the absorbed state so far."""
         clone = HMACSHA256.__new__(HMACSHA256)
-        clone._outer_key = self._outer_key
+        clone._outer = self._outer  # shared: digest() only copies it
         clone._inner = self._inner.copy()
         return clone
 

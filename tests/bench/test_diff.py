@@ -211,6 +211,26 @@ class TestCli:
         assert doc["regressions"] == 1
         assert doc["deltas"][0]["metric"] == "ops.chain_step"
 
+    def test_improved_tally_is_flagged_but_exits_zero(
+            self, dirs, capsys, tmp_path):
+        baseline, current = dirs
+        _write_bench(baseline, "table1_search",
+                     {"test_a": _entry({"chain_step": 1000, "modexp": 40})})
+        # chain_step -50% is past the gate; modexp -20 is under the floor.
+        _write_bench(current, "table1_search",
+                     {"test_a": _entry({"chain_step": 500, "modexp": 20})})
+        json_path = tmp_path / "deltas.json"
+        code = main(self._args(baseline, current, "--json", str(json_path)))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "IMPROVED" in out
+        assert "1 gated improvement(s)" in out
+        doc = json.loads(json_path.read_text())
+        assert doc["regressions"] == 0
+        assert doc["improvements"] == 1
+        flags = {d["metric"]: d["improved"] for d in doc["deltas"]}
+        assert flags == {"ops.chain_step": True, "ops.modexp": False}
+
     def test_exit_two_on_missing_dirs_and_unknown_bench(self, dirs, capsys):
         baseline, current = dirs
         assert main(self._args(baseline / "nope", current)) == 2

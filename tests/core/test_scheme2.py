@@ -8,6 +8,7 @@ from repro.core import Document, keygen, make_scheme2
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ChainExhaustedError
 from repro.net.messages import MessageType
+from repro.obs.opcount import count_ops
 
 
 @pytest.fixture()
@@ -256,6 +257,22 @@ class TestChainWalk:
             client.add_documents([Document(i, b"x", frozenset({"k"}))])
         client.search("k")
         assert 4 <= server.chain_steps_last_search <= 5
+
+    def test_search_after_update_reuses_the_update_window(self, master_key,
+                                                          rng):
+        client, server, _ = make_scheme2(master_key, chain_length=128,
+                                         lazy_counter=False, rng=rng)
+        client.store([Document(0, b"a", frozenset({"k"}))])
+        client.search("k")
+        for i in range(1, 4):
+            client.add_documents([Document(i, b"x", frozenset({"k"}))])
+        with count_ops() as ops:
+            assert client.search("k").doc_ids == [0, 1, 2, 3]
+        # The trapdoor is the element the last update just derived, so
+        # every chain step of the search is the server's forward walk
+        # (ctr 4 back to ctr 2, the first segment it has not cached).
+        assert server.chain_steps_last_search == 2
+        assert ops.snapshot()["chain_step"] == 2
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,4 +1,6 @@
-"""Hash chains: positions, checkpoints, counters, exhaustion, walking."""
+"""Hash chains: positions, checkpoints, windows, counters, walking."""
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.chain import ChainWalker, HashChain, chain_step
 from repro.errors import ChainExhaustedError, ParameterError
+from repro.obs.opcount import count_ops
 
 
 class TestHashChain:
@@ -73,6 +76,61 @@ class TestHashChain:
         a = HashChain(b"prop-seed", length, checkpoint_spacing=5)
         b = HashChain(b"prop-seed", length, checkpoint_spacing=13)
         assert a.element(position) == b.element(position)
+
+
+# Every element past position 0 is a 32-byte digest; a seed of another
+# size shows the window never serves the seed out of its packed buffer.
+_ODD_SEED = b"a seed that is not 32 bytes"
+
+
+@functools.cache
+def _reference(length: int) -> HashChain:
+    """The spacing-1 chain: every position is a stored checkpoint."""
+    return HashChain(_ODD_SEED, length, checkpoint_spacing=1)
+
+
+@st.composite
+def _access_plans(draw):
+    length = draw(st.sampled_from([1, 63, 64, 65, 1024]))
+    spacing = draw(st.sampled_from([1, 7, 64]))
+    order = draw(st.sampled_from(
+        ["descending", "ascending", "repeated", "random"]))
+    if order == "descending":
+        positions = list(range(length, -1, -1))
+    elif order == "ascending":
+        positions = list(range(length + 1))
+    else:
+        picks = draw(st.lists(st.integers(min_value=0, max_value=length),
+                              min_size=1, max_size=40))
+        positions = ([p for p in picks for _ in range(3)]
+                     if order == "repeated" else picks)
+    return length, spacing, positions
+
+
+class TestSegmentWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(_access_plans())
+    def test_any_access_order_matches_spacing_one(self, plan):
+        length, spacing, positions = plan
+        reference = _reference(length)
+        chain = HashChain(_ODD_SEED, length, checkpoint_spacing=spacing)
+        for position in positions:
+            assert chain.element(position) == reference.element(position)
+
+    def test_first_counter_after_construction_is_free(self):
+        chain = HashChain(b"seed", 1024)
+        with count_ops() as ops:
+            chain.key_for_counter(1)
+        assert ops.snapshot().get("chain_step", 0) == 0
+
+    def test_descending_counters_walk_each_segment_once(self):
+        chain = HashChain(b"seed", 1024)
+        with count_ops() as ops:
+            for ctr in range(1, 257):
+                chain.key_for_counter(ctr)
+        # 256 counter advances cross four 64-wide segments, the top one
+        # kept from construction: at most 63 steps for each of them.
+        assert ops.snapshot().get("chain_step", 0) <= 4 * 63
 
 
 class TestChainWalker:
